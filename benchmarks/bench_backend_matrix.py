@@ -1,32 +1,29 @@
-"""Backend matrix: Python plan engine vs. SQLite on the TPC-H grading workload.
+"""Evaluator matrix: plan engine vs. legacy engine vs. SQLite oracle on TPC-H.
 
-Grades the five TPC-H benchmark queries (each: the reference plus its two
-wrong variants, screening mode) against one generated TPC-H-lite instance on
-both execution backends, and times four regimes per backend:
+Evaluates the five TPC-H benchmark queries (each: the reference plus its two
+wrong variants) against one generated TPC-H-lite instance on three
+evaluators — the plan engine, the same engine with the cost-based pipeline
+disabled (``LEGACY_OPTIMIZER_CONFIG``: no reordering, no semijoins, no
+columnar batches), and the SQLite differential oracle running the plan
+engine's optimized plans — in two regimes:
 
-* ``cold eval``  — a fresh :class:`~repro.engine.session.EngineSession`
-  evaluates all 15 workload queries once (for SQLite this includes loading
-  the ``:memory:`` database and compiling every plan to SQL);
-* ``warm eval``  — the session keeps its compiled/optimized plans but the
-  result memo is cleared (:meth:`EngineSession.clear_cached_results`), so
-  every query *executes* again; best of three passes.  This is the regime a
-  grading daemon lives in — plans hot, data fresh — and the one the
-  cost-based optimizer targets;
-* ``memo eval``  — the same session evaluates again with the result memo
-  intact (both backends serve these from the shared memo — memo cost is
-  backend-independent by design);
-* ``grading``    — a fresh :class:`~repro.api.service.GradingService` batch
-  over the 15 (reference, submission) pairs.
+* ``cold eval`` — a fresh :class:`~repro.engine.session.EngineSession`
+  evaluates all 15 workload queries once (for the oracle this includes
+  loading the ``:memory:`` database and compiling every plan to SQL);
+* ``warm eval`` — plans stay compiled but the session's result memo is
+  cleared (:meth:`EngineSession.clear_cached_results`), so every query
+  *executes* again; best of three passes.  This is the regime a grading
+  daemon lives in — plans hot, data fresh — and the one the cost-based
+  optimizer targets.
 
-The Python backend additionally runs with the cost-based pipeline disabled
-(``LEGACY_OPTIMIZER_CONFIG`` — the pre-reordering, row-at-a-time engine) and
-the benchmark *gates* on the optimized pipeline winning warm evaluation.
+Grading runs on the plan engine alone: a fresh
+:class:`~repro.api.service.GradingService` batch over the 15 (reference,
+submission) pairs, screening mode, then warm grading with and without
+per-operator tracing.
 
-The benchmark also asserts the matrix property the differential fuzz suite
-establishes statistically: identical row sets and bit-identical grades on
-both backends and both optimizer configurations.  It does not assert a
-backend winner — the point of the matrix is that backend choice is a
-deployment decision, not a correctness one.
+The benchmark asserts identical row sets on all three evaluators, that every
+query actually ran on SQLite (none unsupported), and *gates* on the
+optimized pipeline winning warm evaluation against the legacy engine.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_backend_matrix.py``)
 for a table, or through pytest for the assertions.  ``REPRO_BENCH_SCALE``
@@ -41,6 +38,7 @@ import time
 from repro.api import GradingService, SubmissionRequest
 from repro.datagen import tpch_instance
 from repro.engine import LEGACY_OPTIMIZER_CONFIG, EngineSession
+from repro.engine.backends.sqlite import BackendUnsupportedError, SqliteBackend
 from repro.workload import tpch_queries
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
@@ -132,58 +130,76 @@ def _warm_eval_seconds(session: EngineSession, queries, passes: int = WARM_PASSE
     return best
 
 
+def _oracle_rows(oracle: SqliteBackend, session: EngineSession, queries, result: dict) -> list:
+    """Row sets from the oracle; unsupported plans are counted, not raised."""
+    rows = []
+    for query in queries:
+        try:
+            rows.append(oracle.evaluate(session, query).rows)
+        except BackendUnsupportedError:
+            result["sqlite_unsupported"] += 1
+            rows.append(None)
+    return rows
+
+
 def run_benchmark(seed: int = 7) -> dict:
     instance = tpch_instance(SCALE, seed=seed)
     queries = _workload_queries()
     requests = _requests()
-    result: dict = {"total_tuples": instance.total_size(), "queries": len(queries)}
+    result: dict = {
+        "total_tuples": instance.total_size(),
+        "queries": len(queries),
+        "sqlite_unsupported": 0,
+    }
 
     row_sets: dict[str, list] = {}
-    for backend in ("python", "sqlite"):
-        session = EngineSession(instance, backend=backend)
+    sessions: dict[str, EngineSession] = {}
+    for name, config in (("python", None), ("legacy", LEGACY_OPTIMIZER_CONFIG)):
+        session = sessions[name] = EngineSession(instance, config=config)
         start = time.perf_counter()
-        row_sets[backend] = [session.evaluate(q).rows for q in queries]
-        result[f"{backend}_cold_s"] = time.perf_counter() - start
-        result[f"{backend}_warm_s"] = _warm_eval_seconds(session, queries)
+        row_sets[name] = [session.evaluate(q).rows for q in queries]
+        result[f"{name}_cold_s"] = time.perf_counter() - start
+        result[f"{name}_warm_s"] = _warm_eval_seconds(session, queries)
+
+    # The oracle runs the plan engine's optimized plans.  Cold: a fresh
+    # session plans every query and a fresh database is loaded.  Warm: plans
+    # and SQL compiled, database loaded; only the statements run.
+    oracle = SqliteBackend(instance)
+    start = time.perf_counter()
+    row_sets["sqlite"] = _oracle_rows(oracle, EngineSession(instance), queries, result)
+    result["sqlite_cold_s"] = time.perf_counter() - start
+    _oracle_rows(oracle, sessions["python"], queries, result)  # compile the SQL
+    result["sqlite_warm_s"] = float("inf")
+    for _ in range(max(1, WARM_PASSES)):
         start = time.perf_counter()
-        for query in queries:
-            session.evaluate(query)
-        result[f"{backend}_memo_s"] = time.perf_counter() - start
+        _oracle_rows(oracle, sessions["python"], queries, result)
+        result["sqlite_warm_s"] = min(
+            result["sqlite_warm_s"], time.perf_counter() - start
+        )
+    result["sqlite_statements"] = oracle.stats["statements"]
 
-        service = GradingService.for_instance(instance, name="tpch", backend=backend)
-        start = time.perf_counter()
-        graded = service.submit_batch(requests, workers=1)
-        result[f"{backend}_grading_s"] = time.perf_counter() - start
-        result[f"{backend}_grades"] = [
-            g.to_dict(include_timings=False) for g in graded
-        ]
-        if backend == "sqlite":
-            stats = session.stats
-            result["sqlite_statements"] = stats["sqlite_statements"]
-            result["sqlite_fallbacks"] = stats["sqlite_fallbacks"]
+    service = GradingService.for_instance(instance, name="tpch")
+    start = time.perf_counter()
+    graded = service.submit_batch(requests, workers=1)
+    result["grading_s"] = time.perf_counter() - start
+    grades = [g.to_dict(include_timings=False) for g in graded]
 
-    # The pre-cost-based-optimizer engine: no reordering, no semijoins, no
-    # columnar batches.  Its warm time is the baseline the pipeline must beat.
-    legacy = EngineSession(instance, config=LEGACY_OPTIMIZER_CONFIG)
-    row_sets["legacy"] = [legacy.evaluate(q).rows for q in queries]
-    result["legacy_warm_s"] = _warm_eval_seconds(legacy, queries)
-
-    assert row_sets["python"] == row_sets["sqlite"], "backends disagree on rows"
+    assert row_sets["python"] == row_sets["sqlite"], "engine and SQLite oracle disagree on rows"
     assert row_sets["python"] == row_sets["legacy"], (
         "optimizer configurations disagree on rows"
     )
-    assert result["python_grades"] == result["sqlite_grades"], (
-        "backends disagree on grades"
-    )
-    result["wrong"] = sum(1 for g in result["python_grades"] if not g["correct"])
+    result["wrong"] = sum(1 for g in grades if not g["correct"])
     result["warm_speedup"] = result["legacy_warm_s"] / result["python_warm_s"]
     # Gate: the cost-based + columnar pipeline must win warm Python eval
-    # against the pre-pipeline engine on the course workload.  Enforced here
+    # against the pre-pipeline engine on the TPC-H workload.  Enforced here
     # (not only in the pytest wrapper) so the CI smoke invocation gates too.
     assert result["python_warm_s"] < result["legacy_warm_s"], (
         f"optimized warm eval ({result['python_warm_s']:.3f}s) lost to the "
         f"legacy engine ({result['legacy_warm_s']:.3f}s)"
     )
+    # The oracle must actually have run every query, never refused one.
+    assert result["sqlite_statements"] > 0
+    assert result["sqlite_unsupported"] == 0
 
     result.update(_tracing_overhead(instance, requests))
     # Gate: per-request tracing must stay cheap enough to leave on-demand
@@ -205,9 +221,9 @@ def test_backend_matrix(benchmark=None):
         benchmark.extra_info["result"] = result
     else:  # plain pytest without pytest-benchmark
         result = run_benchmark()
-    # The workload must actually run on SQLite, not fall back wholesale.
+    # The workload must actually run on SQLite, with no unsupported plan.
     assert result["sqlite_statements"] > 0
-    assert result["sqlite_fallbacks"] == 0
+    assert result["sqlite_unsupported"] == 0
     assert result["wrong"] == 10  # two wrong variants per TPC-H query
     # run_benchmark itself gates warm optimized < warm legacy.
     assert result["warm_speedup"] > 1.0
@@ -216,22 +232,22 @@ def test_backend_matrix(benchmark=None):
 def main() -> None:
     result = run_benchmark()
     print(
-        f"TPC-H grading workload, scale {SCALE} "
+        f"TPC-H workload, scale {SCALE} "
         f"({result['total_tuples']} tuples, {result['queries']} queries, "
         f"{result['wrong']} wrong submissions)"
     )
-    print(f"{'regime':<14} {'python':>10} {'sqlite':>10}")
-    for regime in ("cold", "warm", "memo", "grading"):
-        py = result[f"python_{regime}_s"]
-        sq = result[f"sqlite_{regime}_s"]
-        print(f"{regime + ' eval':<14} {py:>9.3f}s {sq:>9.3f}s")
+    print(f"{'regime':<14} {'python':>10} {'legacy':>10} {'sqlite':>10}")
+    for regime in ("cold", "warm"):
+        times = [result[f"{name}_{regime}_s"] for name in ("python", "legacy", "sqlite")]
+        print(f"{regime + ' eval':<14} " + " ".join(f"{t:>9.3f}s" for t in times))
+    print(f"grading (python engine): {result['grading_s']:.3f}s")
     print(
         f"warm python vs legacy engine: {result['python_warm_s']:.3f}s vs "
         f"{result['legacy_warm_s']:.3f}s ({result['warm_speedup']:.2f}x)"
     )
     print(
-        f"sqlite executed {result['sqlite_statements']} statements, "
-        f"{result['sqlite_fallbacks']} fallbacks; grades bit-identical across backends"
+        f"sqlite oracle executed {result['sqlite_statements']} statements, "
+        f"{result['sqlite_unsupported']} unsupported; rows identical on all evaluators"
     )
     print(
         f"tracing overhead on warm grading: {result['traced_warm_grading_s']:.3f}s "
@@ -240,8 +256,7 @@ def main() -> None:
     )
     from _summary import write_summary
 
-    summary = {k: v for k, v in result.items() if not k.endswith("_grades")}
-    print(f"wrote {write_summary('backend_matrix', summary)}")
+    print(f"wrote {write_summary('backend_matrix', result)}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.catalog.instance import DatabaseInstance
-from repro.engine.backends import BACKEND_NAMES
 from repro.engine.session import EngineSession
 from repro.errors import ReproError
 from repro.lru import LRUCache
@@ -37,17 +36,13 @@ class DatasetHandle:
 
     Handles are cached and shared across submissions and worker threads —
     treat the instance as read-only (mutating it invalidates the session's
-    caches for every concurrent user).  ``backend`` names the execution
-    backend the session runs set-semantics evaluation on; handles for
-    different backends share neither sessions nor caches, but instance-backed
-    datasets do share the one underlying instance.
+    caches for every concurrent user).
     """
 
     spec: str
     seed: int
     instance: DatabaseInstance
     session: EngineSession
-    backend: str = "python"
 
 
 def _builtin_builders() -> dict[str, DatasetBuilder]:
@@ -154,30 +149,24 @@ class DatasetRegistry:
                 raise self._unknown_dataset(spec)
         return builder(argument, seed)
 
-    def resolve(self, spec: str, *, seed: int = 0, backend: str = "python") -> DatasetHandle:
+    def resolve(self, spec: str, *, seed: int = 0) -> DatasetHandle:
         """The shared handle for ``spec``: built on first use, cached after.
 
         Builds run under a per-key lock *outside* the registry lock, so
         concurrent workers asking for the same dataset wait for one build,
         while requests for other (cached or building) datasets proceed —
         a slow ``tpch:1`` build never blocks ``toy-university`` lookups.
-        ``backend`` selects the engine session's execution backend; handles
-        are cached per (spec, seed, backend).
+        Handles are cached per (spec, seed).
         """
-        if backend not in BACKEND_NAMES:
-            raise ReproError(
-                f"unknown execution backend {backend!r}; "
-                f"expected one of {', '.join(BACKEND_NAMES)}"
-            )
         name, _, argument = spec.partition(":")
         with self._lock:
             builder = self._builders.get(name)
             if builder is None:
                 raise self._unknown_dataset(spec)
             if name in self._instance_backed:
-                key, argument, seed = (name, 0, backend), "", 0
+                key, argument, seed = (name, 0), "", 0
             else:
-                key = (spec, seed, backend)
+                key = (spec, seed)
             handle = self._handles.get(key)
             if handle is not None:
                 return handle
@@ -199,8 +188,7 @@ class DatasetRegistry:
                 spec=key[0],
                 seed=seed,
                 instance=instance,
-                session=EngineSession(instance, backend=backend),
-                backend=backend,
+                session=EngineSession(instance),
             )
             with self._lock:
                 if self._generations.get(name, 0) != generation:
@@ -212,7 +200,7 @@ class DatasetRegistry:
                     self._handles[key] = handle  # LRU-bounded: evicts oldest
                     self._build_locks.pop(key, None)
             if retry:
-                return self.resolve(spec, seed=seed, backend=backend)
+                return self.resolve(spec, seed=seed)
             return handle
 
     def _unknown_dataset(self, spec: str) -> ReproError:

@@ -17,13 +17,11 @@ are thin wrappers over this package.
 :class:`EngineSession` (:mod:`repro.engine.session`) adds structural plan and
 result caching across repeated evaluations — the unit of reuse for a grading
 session that checks many submissions against one instance.
+
+:mod:`repro.engine.backends` holds the SQLite differential oracle; it is not
+imported here, so grading never loads it.
 """
 
-from repro.engine.backends import (
-    BACKEND_NAMES,
-    BackendUnsupportedError,
-    SqliteBackend,
-)
 from repro.engine.columnar import ColumnBatch, as_mapping
 from repro.engine.domains import (
     PROVENANCE_DOMAIN,
@@ -67,8 +65,6 @@ from repro.engine.structural import KeyCache, StructuralKey, structural_hash
 __all__ = [
     "AggregateOp",
     "AnnotationDomain",
-    "BACKEND_NAMES",
-    "BackendUnsupportedError",
     "CardinalityEstimator",
     "ColumnBatch",
     "CrossOp",
@@ -91,7 +87,6 @@ __all__ = [
     "ScanOp",
     "SemiJoinOp",
     "SetDomain",
-    "SqliteBackend",
     "StatsCatalog",
     "StructuralKey",
     "UnionOp",

@@ -1,18 +1,19 @@
-"""Pluggable execution backends for set-semantics plan evaluation.
+"""The SQLite differential oracle for set-semantics plan evaluation.
 
-The engine's default backend runs compiled plans through the in-process
-Python operators (:mod:`repro.engine.physical`).  This package adds
-alternatives that execute the *same* optimized logical plans elsewhere —
-today :class:`~repro.engine.backends.sqlite.SqliteBackend`, which compiles
-plans to SQLite SQL and runs them on a cached ``:memory:`` database, the
-way the original RATest ran its rewritten queries on SQL Server.
+Grading runs on one engine: the in-process Python operators
+(:mod:`repro.engine.physical`).  This package keeps an independent
+implementation to test that engine against —
+:class:`~repro.engine.backends.sqlite.SqliteBackend`, which compiles the
+*same* optimized logical plans to SQLite SQL and runs them on a cached
+``:memory:`` database, the way the original RATest ran its rewritten queries
+on SQL Server.  Tests, fuzzers and benchmarks import it directly; the
+grading path never does.
 
-Backends are deliberately narrow: they only cover plain set-semantics
-evaluation.  Provenance annotation (and anything else a backend cannot
-express) falls back to the Python operators via
-:class:`BackendUnsupportedError`, which
-:class:`~repro.engine.session.EngineSession` treats as "run it in-process
-instead" — never as a user-visible failure.
+The oracle covers plain set-semantics evaluation only.  A plan (or parameter
+binding) it cannot express faithfully raises
+:class:`BackendUnsupportedError` rather than quietly answering through the
+Python operators, so a differential check can never compare the engine with
+itself.
 """
 
 from repro.engine.backends.sqlite import (
@@ -25,11 +26,7 @@ from repro.engine.backends.sqlite import (
     prepare_connection,
 )
 
-#: Names accepted by ``EngineSession``/``DatasetRegistry``/``GradingService``.
-BACKEND_NAMES = ("python", "sqlite")
-
 __all__ = [
-    "BACKEND_NAMES",
     "BackendUnsupportedError",
     "CompiledPlan",
     "SqliteBackend",

@@ -1,4 +1,4 @@
-"""SQLite execution backend: optimized logical plans compiled to SQL.
+"""SQLite differential oracle: optimized logical plans compiled to SQL.
 
 The original RATest translated relational algebra into SQL CTEs and ran them
 on SQL Server; this module does the same against SQLite — the one production
@@ -23,12 +23,13 @@ rules live in :mod:`repro.sqltext`, shared with the AST-level writer in
   in plans; callers re-attach the expression's output schema);
 * parameters bind as ``:p_<name>``, and bindings whose runtime type would
   change a comparison's meaning (a string where a number is compared) are
-  refused so the Python operators can raise their usual ``TypeError``.
+  refused, because only the Python operators raise their usual
+  ``TypeError`` there.
 
 Anything the dialect cannot express faithfully raises
-:class:`~repro.sqltext.BackendUnsupportedError`; the session falls back to
-the Python operators, so a backend gap is a performance event, never a
-wrong answer.
+:class:`~repro.sqltext.BackendUnsupportedError`.  The oracle never answers
+through the Python operators instead: a differential check either compares
+two independent engines or fails loudly.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import math
 import sqlite3
 import threading
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.catalog.instance import DatabaseInstance, Values
+from repro.catalog.instance import DatabaseInstance, ResultSet, Values
 from repro.catalog.schema import DatabaseSchema, RelationSchema
 from repro.catalog.types import DataType
 from repro.engine.logical import (
@@ -56,7 +57,7 @@ from repro.engine.logical import (
     UnionOp,
 )
 from repro.errors import QueryEvaluationError
-from repro.ra.ast import AggregateFunction
+from repro.ra.ast import AggregateFunction, RAExpression
 from repro.ra.predicates import Param, Predicate
 from repro.sqltext import (
     BackendUnsupportedError,
@@ -66,6 +67,9 @@ from repro.sqltext import (
     render_predicate,
     sql_literal,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.session import EngineSession
 
 ParamValues = Mapping[str, Any]
 
@@ -434,7 +438,7 @@ def compile_plan_to_sql(plan: PlanNode, db: DatabaseSchema) -> CompiledPlan:
 
 
 # ---------------------------------------------------------------------------
-# The backend
+# The oracle
 # ---------------------------------------------------------------------------
 
 _BINDABLE_TYPES = (bool, int, float, str)
@@ -446,17 +450,15 @@ class SqliteBackend:
     One backend binds one :class:`~repro.catalog.instance.DatabaseInstance`;
     the database is (re)loaded lazily whenever the instance's
     ``data_version`` changes, and compiled SQL is cached per plan node —
-    plans hash structurally, so a grading session re-running the same
-    reference query never recompiles it.  All public methods are
-    thread-safe (a single lock serializes compilation and execution, which
-    also satisfies sqlite3's cross-thread connection rules).
+    plans hash structurally, so a differential run re-checking the same
+    query never recompiles it.  All public methods are thread-safe (a single
+    lock serializes compilation and execution, which also satisfies
+    sqlite3's cross-thread connection rules).
     """
 
-    name = "sqlite"
-
     #: Soft bound on cached compiled statements, mirroring the session's
-    #: bounded plan cache — a long-lived service fielding a stream of
-    #: structurally distinct submissions must not grow without limit.
+    #: bounded plan cache — a long fuzz run over structurally distinct
+    #: queries must not grow without limit.
     max_compiled_plans = 10_000
 
     def __init__(self, instance: DatabaseInstance) -> None:
@@ -530,12 +532,12 @@ class SqliteBackend:
     def _binding(self, compiled: CompiledPlan, params: ParamValues) -> dict[str, Any]:
         """Named-parameter binding, refusing type-unfaithful values.
 
-        A *missing* parameter is a fallback, not an error: the Python
+        A *missing* parameter is unsupported, not an error: the Python
         operators resolve parameters lazily, so a plan whose predicate never
         runs (empty input) evaluates fine unbound — only they can tell.
         Likewise a value whose runtime type would change a comparison's
-        meaning (a string where numbers are compared) falls back so Python
-        can raise its usual ``TypeError``.
+        meaning (a string where numbers are compared) is unsupported, since
+        only Python raises its usual ``TypeError`` there.
         """
         expected = dict(compiled.param_types)
         binding: dict[str, Any] = {}
@@ -565,10 +567,9 @@ class SqliteBackend:
         """Run ``plan`` and return the set-domain annotated row dict.
 
         Raises :class:`BackendUnsupportedError` when the plan or its
-        parameter binding cannot run faithfully on SQLite (callers fall
-        back to the Python operators) and re-raises genuine query failures
-        exactly as the Python engine would (division by zero surfaces as
-        :class:`QueryEvaluationError`).
+        parameter binding cannot run faithfully on SQLite, and re-raises
+        genuine query failures exactly as the Python engine would (division
+        by zero surfaces as :class:`QueryEvaluationError`).
         """
         params = params or {}
         with self._lock:
@@ -603,6 +604,23 @@ class SqliteBackend:
                 converted[tuple(values)] = True
             return converted
         return {tuple(row): True for row in rows}
+
+    def evaluate(
+        self,
+        session: "EngineSession",
+        expression: RAExpression,
+        params: ParamValues | None = None,
+    ) -> ResultSet:
+        """``session``'s optimized plan for ``expression``, run on SQLite.
+
+        The plan is the one :meth:`EngineSession.evaluate` executes —
+        reordered, semijoin-reduced — so comparing the two results checks
+        the engine on exactly the plan it ran.
+        """
+        if session.instance is not self.instance:
+            raise ValueError("the session is bound to a different instance")
+        rows = self.execute_plan(session.plan(expression), params)
+        return ResultSet(expression.output_schema(self.instance.schema), frozenset(rows))
 
 
 _MISSING = object()

@@ -1,8 +1,8 @@
 """The persistent result store: grades that survive restarts and workers.
 
 Grading is deterministic: for a fixed result-schema version, dataset spec,
-seed, execution backend, reference query, submission query and grading
-options, the outcome is always byte-identical (the serialization layer is
+seed, reference query, submission query and grading options, the outcome is
+always byte-identical (the serialization layer is
 canonical).  That makes a graded submission a perfect cache entry — and in a
 real class most submissions *are* repeats (re-submissions, the same classic
 mistake across students, a course re-run next semester).
@@ -46,19 +46,18 @@ CREATE TABLE IF NOT EXISTS results (
     schema_version  INTEGER NOT NULL,
     dataset         TEXT    NOT NULL,
     seed            INTEGER NOT NULL,
-    backend         TEXT    NOT NULL,
     ref_hash        TEXT    NOT NULL,
     sub_hash        TEXT    NOT NULL,
     options_hash    TEXT    NOT NULL,
     payload         TEXT    NOT NULL,
     created_at_unix REAL    NOT NULL,
-    PRIMARY KEY (schema_version, dataset, seed, backend, ref_hash, sub_hash, options_hash)
+    PRIMARY KEY (schema_version, dataset, seed, ref_hash, sub_hash, options_hash)
 )
 """
 
-_KEY_COLUMNS = "schema_version, dataset, seed, backend, ref_hash, sub_hash, options_hash"
+_KEY_COLUMNS = "schema_version, dataset, seed, ref_hash, sub_hash, options_hash"
 _KEY_PREDICATE = (
-    "schema_version = ? AND dataset = ? AND seed = ? AND backend = ? "
+    "schema_version = ? AND dataset = ? AND seed = ? "
     "AND ref_hash = ? AND sub_hash = ? AND options_hash = ?"
 )
 
@@ -81,7 +80,6 @@ class StoreKey:
     schema_version: int
     dataset: str
     seed: int
-    backend: str
     ref_hash: str
     sub_hash: str
     options_hash: str
@@ -92,7 +90,6 @@ class StoreKey:
         *,
         dataset: str,
         seed: int,
-        backend: str,
         correct_query: str,
         test_query: str,
         algorithm: str = "auto",
@@ -114,7 +111,6 @@ class StoreKey:
             schema_version=SCHEMA_VERSION,
             dataset=dataset,
             seed=seed,
-            backend=backend,
             ref_hash=_sha256(correct_query),
             sub_hash=_sha256(test_query),
             options_hash=_sha256(fingerprint),
@@ -127,7 +123,6 @@ class StoreKey:
             "schema_version": self.schema_version,
             "dataset": self.dataset,
             "seed": self.seed,
-            "backend": self.backend,
             "ref_hash": self.ref_hash,
             "sub_hash": self.sub_hash,
             "options_hash": self.options_hash,
@@ -141,7 +136,6 @@ class StoreKey:
                 schema_version=int(payload["schema_version"]),
                 dataset=str(payload["dataset"]),
                 seed=int(payload["seed"]),
-                backend=str(payload["backend"]),
                 ref_hash=str(payload["ref_hash"]),
                 sub_hash=str(payload["sub_hash"]),
                 options_hash=str(payload["options_hash"]),
@@ -168,22 +162,38 @@ class ResultStore:
         if self.path != ":memory:":
             self._conn.execute("PRAGMA journal_mode = WAL")
             self._conn.execute("PRAGMA synchronous = NORMAL")
+        # One writer at a time: two processes opening a legacy store must not
+        # both rebuild its table.
+        self._conn.execute("BEGIN IMMEDIATE")
         self._migrate()
         self._conn.execute(_CREATE)
         self._conn.commit()
         self.stats = {"hits": 0, "misses": 0, "writes": 0, "races": 0}
 
     def _migrate(self) -> None:
-        """Rename the legacy ``created_at`` column to ``created_at_unix``.
+        """Bring a store written by an earlier release to the current schema.
 
-        Stores written by earlier releases keep their rows; the rename only
-        makes the wall-clock semantics explicit in the schema.
+        Stores written by earlier releases keep their rows.  The legacy
+        ``created_at`` column is renamed to ``created_at_unix``, which only
+        makes the wall-clock semantics explicit.  A table keyed by the
+        retired ``backend`` column is rebuilt without it: grades never
+        depended on the backend, so rows collapse onto one key, ``python``
+        rows winning a collision.
         """
         columns = {row[1] for row in self._conn.execute("PRAGMA table_info(results)")}
         if "created_at" in columns and "created_at_unix" not in columns:
             self._conn.execute(
                 "ALTER TABLE results RENAME COLUMN created_at TO created_at_unix"
             )
+        if "backend" in columns:
+            self._conn.execute("ALTER TABLE results RENAME TO results_by_backend")
+            self._conn.execute(_CREATE)
+            self._conn.execute(
+                f"INSERT OR IGNORE INTO results ({_KEY_COLUMNS}, payload, created_at_unix) "
+                f"SELECT {_KEY_COLUMNS}, payload, created_at_unix FROM results_by_backend "
+                "ORDER BY backend != 'python'"
+            )
+            self._conn.execute("DROP TABLE results_by_backend")
 
     # -- mapping operations --------------------------------------------------
 
@@ -212,7 +222,7 @@ class ResultStore:
             # stamp must survive restarts and compare across processes.
             cursor = self._conn.execute(
                 f"INSERT OR IGNORE INTO results ({_KEY_COLUMNS}, payload, created_at_unix) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (*astuple(key), text, time.time()),
             )
             self._conn.commit()
@@ -234,7 +244,7 @@ class ResultStore:
         """Drop every stored grade for ``dataset``; returns rows removed.
 
         The store's keys carry no data version — grades are deduplicated on
-        (schema, dataset, seed, backend, query hashes) alone — so after a
+        (schema, dataset, seed, query hashes) alone — so after a
         dataset mutation every stored grade for it is potentially stale and
         must go.  Grades for other datasets are untouched.
         """

@@ -58,7 +58,6 @@ class WorkerConfig:
     ``fork`` and ``spawn`` multiprocessing start methods.
     """
 
-    backend: str = "python"
     default_dataset: str = "toy-university"
     default_seed: int = 0
     #: Dataset specs resolved (instance built + session created) at worker
@@ -120,7 +119,6 @@ def _worker_main(worker_id: int, config: WorkerConfig, tasks: Any, results: Any)
     service = GradingService(
         default_dataset=config.default_dataset,
         default_seed=config.default_seed,
-        backend=config.backend,
     )
     for spec in dict.fromkeys((config.default_dataset, *config.warm_datasets)):
         try:

@@ -73,30 +73,6 @@ class TestDeterminismUnderConcurrency:
         assert after["plan_misses"] > before
         assert after["plan_hits"] > 0
 
-    def test_sqlite_backend_pooled_equals_python_serial(self, hidden_instance):
-        """Backend × concurrency: pooled SQLite grading is bit-identical to
-        serial Python grading — grades must not depend on either axis."""
-        requests = class_batch()
-        python_serial = grades(
-            GradingService.for_instance(hidden_instance, name="hidden"),
-            requests,
-            workers=1,
-        )
-        sqlite_pooled = grades(
-            GradingService.for_instance(hidden_instance, name="hidden", backend="sqlite"),
-            requests,
-            workers=8,
-        )
-        assert sqlite_pooled == python_serial
-
-    def test_sqlite_backend_session_actually_uses_sqlite(self, hidden_instance):
-        service = GradingService.for_instance(
-            hidden_instance, name="hidden", backend="sqlite"
-        )
-        service.submit_batch(class_batch(), workers=8)
-        stats = service.session_for().stats
-        assert stats["sqlite_statements"] > 0
-
     def test_mixed_datasets_in_one_pooled_batch(self):
         service = GradingService()
         correct = "\\project_{name} \\select_{dept = 'ECON'} Registration"

@@ -1,16 +1,18 @@
-"""The SQLite backend: semantics units plus workload SQL round trips.
+"""The SQLite differential oracle: semantics units plus workload SQL round trips.
 
 Two layers of guarantees:
 
 * every course/beers/TPC-H workload query — correct references *and* wrong
-  variants — (a) evaluates identically on the Python and SQLite backends
-  through ``EngineSession``, and (b) has ``to_sql`` output that executes
-  verbatim on a loaded SQLite database and returns the same rows;
+  variants — (a) evaluates identically on the plan engine and on the oracle
+  running the engine's optimized plan, and (b) has ``to_sql`` output that
+  executes verbatim on a loaded SQLite database and returns the same rows;
 * targeted unit tests for the dialect corners where SQL and the engine
   disagree by default: two-valued NULL logic under ``NOT``, null-safe join
   keys, Python division, BOOL round trips, quoting of reserved/dotted
   identifiers, parameter binding, empty-input aggregates, data-version
-  reloads, and the fallback protocol for inexpressible plans.
+  reloads, and the refusal protocol for inexpressible plans (the oracle
+  raises :class:`BackendUnsupportedError`; it never answers through the
+  Python operators).
 """
 
 from __future__ import annotations
@@ -46,6 +48,20 @@ from repro.ra.predicates import (
     Predicate,
 )
 from repro.workload import beers_problems, course_questions, tpch_queries
+
+
+def _engine_and_oracle(instance, query, params=None):
+    """Rows from the engine and from the oracle running the engine's plan."""
+    session = EngineSession(instance)
+    oracle = SqliteBackend(instance)
+    return (
+        session.evaluate(query, params).rows,
+        oracle.evaluate(session, query, params).rows,
+    )
+
+
+def _oracle(instance, query, params=None):
+    return SqliteBackend(instance).evaluate(EngineSession(instance), query, params)
 
 
 def _workloads():
@@ -89,10 +105,10 @@ class TestWorkloadRoundTrips:
     def sessions(self):
         cache = {}
 
-        def session_for(instance, backend):
-            key = (id(instance), backend)
+        def session_for(instance):
+            key = id(instance)
             if key not in cache:
-                cache[key] = EngineSession(instance, backend=backend)
+                cache[key] = (EngineSession(instance), SqliteBackend(instance))
             return cache[key]
 
         return session_for
@@ -110,8 +126,8 @@ class TestWorkloadRoundTrips:
         fetched = frozenset(
             tuple(row) for row in connections(instance).execute(sql).fetchall()
         )
-        expected = sessions(instance, "python").evaluate(expression).rows
-        assert fetched == expected
+        session, _ = sessions(instance)
+        assert fetched == session.evaluate(expression).rows
 
     @pytest.mark.parametrize(
         "workload,instance,text",
@@ -122,8 +138,9 @@ class TestWorkloadRoundTrips:
         self, workload, instance, text, sessions
     ):
         expression = parse_query(text)
-        expected = sessions(instance, "python").evaluate(expression)
-        actual = sessions(instance, "sqlite").evaluate(expression)
+        session, oracle = sessions(instance)
+        expected = session.evaluate(expression)
+        actual = oracle.evaluate(session, expression)
         assert actual.rows == expected.rows
 
 
@@ -157,10 +174,9 @@ class TestNullSemantics:
         # Engine logic: k = 1 is False when k IS NULL, so NOT(k = 1) keeps
         # the row.  Plain SQL three-valued logic would drop it.
         query = parse_query("\\select_{not (k = 1)} T")
-        python = EngineSession(instance).evaluate(query)
-        sqlite = EngineSession(instance, backend="sqlite").evaluate(query)
-        assert python.rows == sqlite.rows
-        assert (None, "b") in python.rows
+        python, sqlite = _engine_and_oracle(instance, query)
+        assert python == sqlite
+        assert (None, "b") in python
 
     def test_null_join_keys_match_like_dict_keys(self, instance):
         # The hash join's dict lookup matches NULL with NULL; the compiled
@@ -168,10 +184,9 @@ class TestNullSemantics:
         query = parse_query(
             "(\\rename_{prefix: a} T) \\join_{a.k = b.k} (\\rename_{prefix: b} U)"
         )
-        python = EngineSession(instance).evaluate(query)
-        sqlite = EngineSession(instance, backend="sqlite").evaluate(query)
-        assert python.rows == sqlite.rows
-        assert any(row[0] is None for row in python.rows)
+        python, sqlite = _engine_and_oracle(instance, query)
+        assert python == sqlite
+        assert any(row[0] is None for row in python)
 
 
 class TestDialectCorners:
@@ -183,9 +198,8 @@ class TestDialectCorners:
             Literal(44.0),
         )
         query = Selection(RelationRef("Registration"), predicate)
-        python = EngineSession(instance).evaluate(query)
-        sqlite = EngineSession(instance, backend="sqlite").evaluate(query)
-        assert python.rows == sqlite.rows
+        python, sqlite = _engine_and_oracle(instance, query)
+        assert python == sqlite
 
     def test_division_by_zero_raises_on_both_backends(self):
         instance = toy_university_instance()
@@ -196,46 +210,38 @@ class TestDialectCorners:
         with pytest.raises(QueryEvaluationError):
             EngineSession(instance).evaluate(query)
         with pytest.raises(QueryEvaluationError):
-            EngineSession(instance, backend="sqlite").evaluate(query)
+            _oracle(instance, query)
 
-    def test_cross_type_ordering_comparison_fails_identically(self):
+    def test_cross_type_ordering_comparison_is_refused(self):
         # SQLite would order 'Mary' < 5 by storage class; the Python
-        # operators raise TypeError.  The backend must fall back so both
-        # backends produce the same (internal) error — grades stay
-        # backend-independent even for type-broken submissions.
+        # operators raise TypeError.  The oracle must refuse rather than
+        # answer.
         instance = toy_university_instance()
         query = parse_query("\\select_{name < 5} Student")
         with pytest.raises(TypeError):
             EngineSession(instance).evaluate(query)
-        session = EngineSession(instance, backend="sqlite")
-        with pytest.raises(TypeError):
-            session.evaluate(query)
-        assert session.stats["sqlite_fallbacks"] == 1
+        with pytest.raises(BackendUnsupportedError):
+            _oracle(instance, query)
 
-    def test_cross_type_equality_falls_back_consistently(self):
+    def test_cross_type_equality_is_refused(self):
         # name = 5 is simply false everywhere in Python; SQLite's comparison
         # affinity could coerce and match — so it must not run on SQLite.
         instance = toy_university_instance()
         query = parse_query("\\select_{name = 5} Student")
-        python = EngineSession(instance).evaluate(query)
-        session = EngineSession(instance, backend="sqlite")
-        assert session.evaluate(query).rows == python.rows == frozenset()
-        assert session.stats["sqlite_fallbacks"] == 1
+        assert EngineSession(instance).evaluate(query).rows == frozenset()
+        with pytest.raises(BackendUnsupportedError):
+            _oracle(instance, query)
 
-    def test_cross_type_grading_is_backend_independent(self):
+    def test_cross_type_grading_is_an_internal_error(self):
         from repro.api import GradingService
 
         instance = toy_university_instance()
         correct = "\\project_{name} Student"
         broken = "\\select_{name < 5} \\project_{name} Student"
-        python = GradingService.for_instance(instance, name="h").check(correct, broken)
-        sqlite = GradingService.for_instance(
-            instance, name="h", backend="sqlite"
-        ).check(correct, broken)
-        assert python.to_dict(include_timings=False) == sqlite.to_dict(
-            include_timings=False
-        )
-        assert python.error_kind == "internal_error"
+        graded = GradingService.for_instance(instance, name="h").check(correct, broken)
+        assert graded.error_kind == "internal_error"
+        with pytest.raises(BackendUnsupportedError):
+            _oracle(instance, parse_query(broken))
 
     def test_string_division_is_not_compiled(self):
         instance = toy_university_instance()
@@ -248,10 +254,10 @@ class TestDialectCorners:
         with pytest.raises(BackendUnsupportedError):
             compile_plan_to_sql(plan, instance.schema)
 
-    def test_string_typed_parameter_division_raises_typeerror_on_both(self):
-        # The parameter's type is unknown at compile time, so division does
-        # run on SQLite — the UDF must then surface Python's real TypeError,
-        # not a fabricated division-by-zero.
+    def test_string_typed_parameter_division_is_refused(self):
+        # A parameter used in arithmetic must be bound to a number: the
+        # engine raises Python's TypeError, and the oracle refuses the
+        # binding instead of letting SQLite coerce the string.
         instance = toy_university_instance()
         predicate = Comparison(
             ">", Arithmetic("/", ColumnRef("grade"), Param("d")), Literal(1)
@@ -259,8 +265,8 @@ class TestDialectCorners:
         query = Selection(RelationRef("Registration"), predicate)
         with pytest.raises(TypeError):
             EngineSession(instance).evaluate(query, {"d": "oops"})
-        with pytest.raises(TypeError):
-            EngineSession(instance, backend="sqlite").evaluate(query, {"d": "oops"})
+        with pytest.raises(BackendUnsupportedError, match="SQLite would coerce"):
+            _oracle(instance, query, {"d": "oops"})
 
     def test_bool_columns_round_trip(self):
         schema = DatabaseSchema.of(
@@ -274,10 +280,9 @@ class TestDialectCorners:
         instance = DatabaseInstance(schema)
         instance.relation("Flags").insert_all([("a", True), ("b", False)])
         query = parse_query("\\select_{active = true} Flags")
-        python = EngineSession(instance).evaluate(query)
-        sqlite = EngineSession(instance, backend="sqlite").evaluate(query)
-        assert python.rows == sqlite.rows == frozenset({("a", True)})
-        (row,) = sqlite.rows
+        python, sqlite = _engine_and_oracle(instance, query)
+        assert python == sqlite == frozenset({("a", True)})
+        (row,) = sqlite
         assert row[1] is True  # int 1 would break bit-identical serialization
 
     def test_reserved_and_dotted_identifiers(self):
@@ -292,9 +297,8 @@ class TestDialectCorners:
         instance = DatabaseInstance(schema)
         instance.relation("order").insert_all([("g1", 1), ("g2", 2)])
         query = parse_query('\\project_{p.group -> g} \\select_{p.select > 1} \\rename_{prefix: p} order')
-        python = EngineSession(instance).evaluate(query)
-        sqlite = EngineSession(instance, backend="sqlite").evaluate(query)
-        assert python.rows == sqlite.rows == frozenset({("g2",)})
+        python, sqlite = _engine_and_oracle(instance, query)
+        assert python == sqlite == frozenset({("g2",)})
         sql = to_sql(query, schema)
         conn = connect_instance(instance)
         assert frozenset(conn.execute(sql).fetchall()) == {("g2",)}
@@ -303,58 +307,59 @@ class TestDialectCorners:
     def test_parameter_binding(self):
         instance = toy_university_instance()
         query = parse_query("\\project_{name} \\select_{grade >= @cutoff} Registration")
-        python = EngineSession(instance).evaluate(query, {"cutoff": 95})
-        session = EngineSession(instance, backend="sqlite")
-        sqlite = session.evaluate(query, {"cutoff": 95})
+        session = EngineSession(instance)
+        oracle = SqliteBackend(instance)
+        python = session.evaluate(query, {"cutoff": 95})
+        sqlite = oracle.evaluate(session, query, {"cutoff": 95})
         assert python.rows == sqlite.rows
-        assert session.stats["sqlite_statements"] == 1
-        # Unbound parameters fail the same way as the Python operators.
+        assert oracle.stats["statements"] == 1
+        # Unbound parameters are an error for the engine and unsupported
+        # for the oracle.
         with pytest.raises(QueryEvaluationError, match="unbound query parameter"):
             session.evaluate(query, {})
+        with pytest.raises(BackendUnsupportedError, match="unbound"):
+            oracle.evaluate(session, query, {})
 
-    def test_string_valued_parameter_against_numeric_column_fails_identically(self):
+    def test_string_valued_parameter_against_numeric_column_is_refused(self):
         # SQLite's cross-type ordering would happily answer grade < 'abc';
-        # the binding check must refuse it so Python raises its TypeError
-        # on both backends.
+        # the binding check must refuse it where Python raises TypeError.
         instance = toy_university_instance()
         query = parse_query("\\select_{grade < @p} Registration")
         with pytest.raises(TypeError):
             EngineSession(instance).evaluate(query, {"p": "abc"})
-        session = EngineSession(instance, backend="sqlite")
-        with pytest.raises(TypeError):
-            session.evaluate(query, {"p": "abc"})
-        assert session.stats["sqlite_fallbacks"] == 1
+        with pytest.raises(BackendUnsupportedError):
+            _oracle(instance, query, {"p": "abc"})
 
-    def test_unbound_parameter_over_empty_input_matches_python_laziness(self):
+    def test_unbound_parameter_over_empty_input_is_refused(self):
         # The Python operators resolve parameters lazily: if the filter's
-        # input is empty the parameter is never read, so no error.  The
-        # backend must fall back rather than eagerly refusing to bind.
+        # input is empty the parameter is never read, so no error.  Only
+        # they can tell, so the oracle refuses to bind rather than guess.
         instance = toy_university_instance()
         query = parse_query(
             "\\select_{grade < @p} \\select_{dept = 'NOPE'} Registration"
         )
-        python = EngineSession(instance).evaluate(query, {})
-        session = EngineSession(instance, backend="sqlite")
-        assert session.evaluate(query, {}).rows == python.rows == frozenset()
-        assert session.stats["sqlite_fallbacks"] == 1
+        assert EngineSession(instance).evaluate(query, {}).rows == frozenset()
+        with pytest.raises(BackendUnsupportedError):
+            _oracle(instance, query, {})
 
     def test_ungrouped_aggregate_over_empty_input_yields_no_rows(self):
         instance = toy_university_instance()
         query = parse_query("\\aggr_{ ; count(*) -> n} \\select_{dept = 'NOPE'} Registration")
-        python = EngineSession(instance).evaluate(query)
-        sqlite = EngineSession(instance, backend="sqlite").evaluate(query)
-        assert python.rows == sqlite.rows == frozenset()
+        python, sqlite = _engine_and_oracle(instance, query)
+        assert python == sqlite == frozenset()
 
 
 class TestBackendLifecycle:
     def test_data_version_reload(self):
         instance = toy_university_instance()
-        session = EngineSession(instance, backend="sqlite")
+        session = EngineSession(instance)
+        oracle = SqliteBackend(instance)
         query = parse_query("\\project_{name} Student")
-        before = session.evaluate(query).rows
+        before = oracle.evaluate(session, query).rows
         instance.relation("Student").insert(("Zoe", "ART"))
-        after = session.evaluate(query).rows
+        after = oracle.evaluate(session, query).rows
         assert ("Zoe",) in after and ("Zoe",) not in before
+        assert oracle.stats["loads"] == 2
 
     def test_compiled_sql_is_cached_per_plan(self):
         instance = toy_university_instance()
@@ -366,7 +371,7 @@ class TestBackendLifecycle:
         assert backend.stats["statements"] == 2
         assert backend.stats["loads"] == 1
 
-    def test_unsupported_plan_falls_back_to_python(self):
+    def test_unsupported_plan_raises(self):
         class OpaquePredicate(Predicate):
             """Not a member of the compilable predicate grammar."""
 
@@ -384,11 +389,12 @@ class TestBackendLifecycle:
 
         instance = toy_university_instance()
         query = Selection(RelationRef("Registration"), OpaquePredicate())
-        session = EngineSession(instance, backend="sqlite")
-        python = EngineSession(instance).evaluate(query)
-        assert session.evaluate(query).rows == python.rows
-        assert session.stats["sqlite_fallbacks"] == 1
-        assert session.stats["sqlite_statements"] == 0
+        session = EngineSession(instance)
+        oracle = SqliteBackend(instance)
+        assert session.evaluate(query).rows
+        with pytest.raises(BackendUnsupportedError):
+            oracle.evaluate(session, query)
+        assert oracle.stats["statements"] == 0
 
     def test_compile_rejects_opaque_scalars(self):
         instance = toy_university_instance()
@@ -401,36 +407,61 @@ class TestBackendLifecycle:
         with pytest.raises(BackendUnsupportedError):
             compile_plan_to_sql(plan, instance.schema)
 
-    def test_nan_data_falls_back_instead_of_becoming_null(self):
+    def test_nan_data_is_refused_instead_of_becoming_null(self):
         # sqlite3 binds NaN as NULL, which would silently change results;
-        # the loader must refuse so the session falls back to Python.
+        # the loader must refuse.
         schema = DatabaseSchema.of(
             [RelationSchema.of("M", [("k", DataType.INT), ("x", DataType.FLOAT)])]
         )
         instance = DatabaseInstance(schema)
         instance.relation("M").insert_all([(1, 1.5), (2, float("nan"))])
         python = EngineSession(instance).evaluate(parse_query("M"))
-        session = EngineSession(instance, backend="sqlite")
-        sqlite = session.evaluate(parse_query("M"))
-        assert session.stats["sqlite_fallbacks"] == 1
-        assert not any(row[1] is None for row in sqlite.rows)
-        assert len(sqlite.rows) == len(python.rows) == 2
+        assert len(python.rows) == 2
+        oracle = SqliteBackend(instance)
+        with pytest.raises(BackendUnsupportedError):
+            oracle.evaluate(EngineSession(instance), parse_query("M"))
+        assert oracle.stats["loads"] == 0
 
-    def test_oversized_integers_fall_back(self):
+    def test_oversized_integers_are_refused(self):
         instance = toy_university_instance()
         predicate = Comparison("<", ColumnRef("grade"), Literal(2**70))
         query = Selection(RelationRef("Registration"), predicate)
-        session = EngineSession(instance, backend="sqlite")
-        python = EngineSession(instance).evaluate(query)
-        assert session.evaluate(query).rows == python.rows
-        assert session.stats["sqlite_fallbacks"] == 1
+        assert EngineSession(instance).evaluate(query).rows
+        with pytest.raises(BackendUnsupportedError):
+            _oracle(instance, query)
 
-    def test_provenance_stays_on_python_operators(self):
+    def test_provenance_candidates_match_oracle_rows(self):
+        # Provenance runs on the engine only; for a plain selection every
+        # annotated candidate row is a result row, so the oracle's set
+        # semantics must see the same rows.
         instance = toy_university_instance()
-        session = EngineSession(instance, backend="sqlite")
-        schema, rows = session.annotated_rows(parse_query("\\select_{dept = 'CS'} Registration"))
-        reference = EngineSession(instance).annotated_rows(
-            parse_query("\\select_{dept = 'CS'} Registration")
-        )
-        assert rows == reference[1]
-        assert session.stats["sqlite_statements"] == 0
+        query = parse_query("\\select_{dept = 'CS'} Registration")
+        session = EngineSession(instance)
+        _, rows = session.annotated_rows(query)
+        assert frozenset(rows) == _oracle(instance, query).rows
+
+
+def test_grading_never_imports_the_oracle():
+    """The serving path grades on the plan engine alone: no SQLite module."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "import repro.api\n"
+        "outcome = repro.api.GradingService().check("
+        "\"\\\\project_{name} \\\\select_{dept = 'ECON'} Registration\", "
+        "'\\\\project_{name} Registration')\n"
+        "assert outcome.report is not None, outcome\n"
+        "print(sorted(name for name in sys.modules if name.startswith('repro.engine.backends')))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    loaded = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    assert loaded == "[]"

@@ -48,16 +48,19 @@ class TestOperationalEndpoints:
         assert health["schema_version"] == SCHEMA_VERSION
         assert health["workers"] == 1
         assert "rows" in health["store"]
+        assert "backend" not in health
 
     def test_datasets_lists_builtin_registry(self, client):
         payload = client.datasets()
         assert "toy-university" in payload["datasets"]
         assert payload["default_dataset"] == "toy-university"
+        assert "backend" not in payload
 
     def test_metrics_exposition_format(self, client):
         client.grade(request_payload())  # ensure at least one grade happened
         text = client.metrics_text()
         assert "# TYPE repro_server_requests_total counter" in text
+        assert "sessions_sqlite" not in text
         assert "# TYPE repro_server_stage_seconds histogram" in text
         assert 'repro_server_grades_total{store="' in text
         assert "repro_server_queue_depth" in text

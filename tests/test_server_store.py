@@ -20,7 +20,6 @@ def make_key(**overrides) -> StoreKey:
     fields = dict(
         dataset="toy-university",
         seed=0,
-        backend="python",
         correct_query=REFERENCE,
         test_query=SUBMISSION,
     )
@@ -37,7 +36,6 @@ class TestStoreKey:
         [
             {"dataset": "university:50"},
             {"seed": 7},
-            {"backend": "sqlite"},
             {"correct_query": SUBMISSION},
             {"test_query": REFERENCE},
             {"algorithm": "basic"},
@@ -118,7 +116,6 @@ def _race_worker(path: str, barrier, results) -> None:
     key = StoreKey.for_request(
         dataset="toy-university",
         seed=0,
-        backend="python",
         correct_query=REFERENCE,
         test_query=SUBMISSION,
     )
@@ -158,6 +155,19 @@ class TestConcurrentWorkers:
             assert len(store) == 1
 
 
+def _legacy_key(key: StoreKey, backend: str) -> tuple:
+    """``key`` as a row prefix of the store schema that keyed on ``backend``."""
+    return (
+        key.schema_version,
+        key.dataset,
+        key.seed,
+        backend,
+        key.ref_hash,
+        key.sub_hash,
+        key.options_hash,
+    )
+
+
 class TestAgeAndMigration:
     def test_age_bounds_empty_store_is_none(self):
         with ResultStore() as store:
@@ -195,11 +205,9 @@ class TestAgeAndMigration:
             """
         )
         key = make_key()
-        from dataclasses import astuple
-
         legacy.execute(
             "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (*astuple(key), json.dumps({"correct": True}), time.time() - 5.0),
+            (*_legacy_key(key, "python"), json.dumps({"correct": True}), time.time() - 5.0),
         )
         legacy.commit()
         legacy.close()
@@ -211,6 +219,57 @@ class TestAgeAndMigration:
             }
             assert "created_at_unix" in columns
             assert "created_at" not in columns
+            assert "backend" not in columns
             assert store.get(key) == {"correct": True}  # rows survive
             newest, oldest = store.age_bounds()
             assert newest >= 4.0  # the legacy timestamp still means wall-clock
+
+    def test_backend_keyed_store_is_migrated(self, tmp_path):
+        import sqlite3
+        import time
+
+        path = str(tmp_path / "by-backend.sqlite3")
+        legacy = sqlite3.connect(path)
+        legacy.execute(
+            """
+            CREATE TABLE results (
+                schema_version  INTEGER NOT NULL,
+                dataset         TEXT    NOT NULL,
+                seed            INTEGER NOT NULL,
+                backend         TEXT    NOT NULL,
+                ref_hash        TEXT    NOT NULL,
+                sub_hash        TEXT    NOT NULL,
+                options_hash    TEXT    NOT NULL,
+                payload         TEXT    NOT NULL,
+                created_at_unix REAL    NOT NULL,
+                PRIMARY KEY (schema_version, dataset, seed, backend,
+                             ref_hash, sub_hash, options_hash)
+            )
+            """
+        )
+        shared, sqlite_only = make_key(), make_key(seed=9)
+        rows = [
+            # The sqlite row sorts first by rowid: precedence must not depend
+            # on insertion order.
+            (*_legacy_key(shared, "sqlite"), json.dumps({"from": "sqlite"})),
+            (*_legacy_key(shared, "python"), json.dumps({"from": "python"})),
+            (*_legacy_key(sqlite_only, "sqlite"), json.dumps({"from": "sqlite"})),
+        ]
+        legacy.executemany(
+            "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            [(*row, time.time()) for row in rows],
+        )
+        legacy.commit()
+        legacy.close()
+
+        with ResultStore(path) as store:
+            columns = {
+                row[1] for row in store._conn.execute("PRAGMA table_info(results)")
+            }
+            assert "backend" not in columns
+            assert store.get(shared) == {"from": "python"}
+            assert store.get(sqlite_only) == {"from": "sqlite"}
+            assert len(store) == 2
+        with ResultStore(path) as store:  # reopening a migrated store is a no-op
+            assert store.get(shared) == {"from": "python"}
+            assert len(store) == 2
