@@ -180,7 +180,7 @@ def run_benchmark(seed: int = 7) -> dict:
 
     service = GradingService.for_instance(instance, name="tpch")
     start = time.perf_counter()
-    graded = service.submit_batch(requests, workers=1)
+    graded = service.submit_batch(requests)
     result["grading_s"] = time.perf_counter() - start
     grades = [g.to_dict(include_timings=False) for g in graded]
 

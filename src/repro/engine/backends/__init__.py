@@ -6,8 +6,12 @@ implementation to test that engine against —
 :class:`~repro.engine.backends.sqlite.SqliteBackend`, which compiles the
 *same* optimized logical plans to SQLite SQL and runs them on a cached
 ``:memory:`` database, the way the original RATest ran its rewritten queries
-on SQL Server.  Tests, fuzzers and benchmarks import it directly; the
-grading path never does.
+on SQL Server.  Its plan compiler is the only SQL emitter in the codebase:
+:func:`~repro.engine.backends.sqlite.to_sql` renders an expression's
+unoptimized plan as text that runs verbatim on a
+:func:`~repro.engine.backends.sqlite.connect_instance` connection.  Tests,
+fuzzers and benchmarks import this package directly; the grading path never
+does.
 
 The oracle covers plain set-semantics evaluation only.  A plan (or parameter
 binding) it cannot express faithfully raises
@@ -24,6 +28,7 @@ from repro.engine.backends.sqlite import (
     connect_instance,
     load_instance,
     prepare_connection,
+    to_sql,
 )
 
 __all__ = [
@@ -34,4 +39,5 @@ __all__ = [
     "connect_instance",
     "load_instance",
     "prepare_connection",
+    "to_sql",
 ]

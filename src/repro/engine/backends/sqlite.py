@@ -1,23 +1,31 @@
-"""SQLite differential oracle: optimized logical plans compiled to SQL.
+"""SQLite differential oracle: logical plans compiled to SQL.
 
 The original RATest translated relational algebra into SQL CTEs and ran them
 on SQL Server; this module does the same against SQLite — the one production
-engine every Python install ships with.  A :class:`SqliteBackend` owns a
-cached ``:memory:`` database per bound instance (reloaded whenever the
-instance's ``data_version`` changes) and executes compiled
-:class:`~repro.engine.logical.PlanNode` trees as a ``WITH`` chain, one CTE
-per operator, returning exactly the annotated row dict the Python operators
-would produce under the set domain.
+engine every Python install ships with.  :func:`compile_plan_to_sql` is the
+codebase's only SQL emitter: a :class:`SqliteBackend` runs it on the
+engine's optimized plans over a cached ``:memory:`` database per bound
+instance (reloaded whenever the instance's ``data_version`` changes),
+returning exactly the annotated row dict the Python operators would produce
+under the set domain, and :func:`to_sql` runs it on an expression's
+unoptimized plan to give executable text for a query as written.  Every
+statement is a ``WITH`` chain, one CTE per plan operator.
 
 Faithfulness to the in-process engine is the whole point, so the generated
-SQL mirrors its semantics rather than idiomatic SQL (the scalar/predicate
-rules live in :mod:`repro.sqltext`, shared with the AST-level writer in
-:mod:`repro.parser.sql_writer`):
+SQL mirrors its semantics rather than idiomatic SQL:
 
 * set semantics via ``SELECT DISTINCT`` on scans and projections and plain
   ``UNION``/``EXCEPT``/``INTERSECT`` for the set operators;
 * hoisted equi-join keys compare with ``IS`` (null-safe), because the hash
   join's dictionary lookup treats ``NULL`` as equal to ``NULL``;
+* comparisons wrap in ``COALESCE(..., 0)`` so a comparison against ``NULL``
+  is *false* (and ``NOT`` of it *true*) — the engine's two-valued logic;
+* strings only compare with strings (:func:`comparable_in_sql`): SQLite's
+  comparison affinity and cross-type ordering would otherwise answer
+  questions the Python operators raise ``TypeError`` for;
+* division renders as the ``repro_div`` user function (Python true division,
+  raises on zero); string ``+`` becomes ``||`` only when both sides are
+  strings; boolean arithmetic is refused;
 * every CTE exposes positional columns ``c1..cN``, sidestepping quoting and
   duplicate-name questions for plan-internal columns (renames compile away
   in plans; callers re-attach the expression's output schema);
@@ -27,9 +35,9 @@ rules live in :mod:`repro.sqltext`, shared with the AST-level writer in
   ``TypeError`` there.
 
 Anything the dialect cannot express faithfully raises
-:class:`~repro.sqltext.BackendUnsupportedError`.  The oracle never answers
-through the Python operators instead: a differential check either compares
-two independent engines or fails loudly.
+:class:`BackendUnsupportedError`.  The oracle never answers through the
+Python operators instead: a differential check either compares two
+independent engines or fails loudly.
 """
 
 from __future__ import annotations
@@ -55,23 +63,98 @@ from repro.engine.logical import (
     ScanOp,
     SemiJoinOp,
     UnionOp,
+    compile_plan,
 )
-from repro.errors import QueryEvaluationError
+from repro.errors import QueryEvaluationError, ReproError, UnknownAttributeError
 from repro.ra.ast import AggregateFunction, RAExpression
-from repro.ra.predicates import Param, Predicate
-from repro.sqltext import (
-    BackendUnsupportedError,
-    comparable_in_sql,
-    literal_type,
-    quote_identifier,
-    render_predicate,
-    sql_literal,
+from repro.ra.predicates import (
+    And,
+    Arithmetic,
+    ColumnRef,
+    Comparison,
+    Literal,
+    Not,
+    Or,
+    Param,
+    Predicate,
+    Scalar,
+    TruePredicate,
 )
 
 if TYPE_CHECKING:
     from repro.engine.session import EngineSession
 
 ParamValues = Mapping[str, Any]
+
+
+class BackendUnsupportedError(ReproError):
+    """The construct (or its data) cannot be expressed faithfully in SQLite.
+
+    It signals that no faithful SQL exists, never a wrong answer: the oracle
+    raises it instead of running anything.
+    """
+
+
+# ---------------------------------------------------------------------------
+# Identifiers, literals and types
+# ---------------------------------------------------------------------------
+
+
+def quote_identifier(name: str) -> str:
+    """``name`` as a double-quoted SQLite identifier (reserved words included)."""
+    return '"' + name.replace('"', '""') + '"'
+
+
+def sql_literal(value: Any) -> str:
+    """Render a Python constant as a SQLite literal (``None`` is ``NULL``)."""
+    if value is None:
+        return "NULL"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        if not -(2**63) <= value < 2**63:
+            raise BackendUnsupportedError(f"integer literal {value} exceeds 64 bits")
+        return str(value)
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            raise BackendUnsupportedError(f"non-finite float literal {value!r}")
+        return repr(value)
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    raise BackendUnsupportedError(f"cannot render literal {value!r} as SQL")
+
+
+def literal_type(value: Any) -> DataType | None:
+    """Best-effort :class:`DataType` of a constant (``None`` when unknown)."""
+    if isinstance(value, bool):
+        return DataType.BOOL
+    if isinstance(value, int):
+        return DataType.INT
+    if isinstance(value, float):
+        return DataType.FLOAT
+    if isinstance(value, str):
+        return DataType.STRING
+    return None
+
+
+def comparable_in_sql(left: DataType | None, right: DataType | None) -> bool:
+    """Whether a comparison of these types means the same thing in SQLite.
+
+    Unknown types (parameters, NULL literals) pass.  Strings only compare
+    with strings: SQLite's comparison affinity can coerce a numeric operand
+    to text against a TEXT column (``name = 5`` may match ``'5'``), and its
+    cross-type ordering would silently answer ordering comparisons the
+    Python operators raise ``TypeError`` for.  INT/FLOAT/BOOL inter-compare
+    identically on both sides (Python ``True == 1`` ≡ SQLite ``1 = 1``).
+    """
+    if left is None or right is None or left is right:
+        return True
+    non_text = (DataType.INT, DataType.FLOAT, DataType.BOOL)
+    return left in non_text and right in non_text
+
+
+#: RA comparison operators → their SQL spelling (``!=`` renders as ``<>``).
+_COMPARISON_SQL = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
 class _PythonDivision:
@@ -167,9 +250,10 @@ def load_instance(conn: sqlite3.Connection, instance: DatabaseInstance) -> None:
 def connect_instance(instance: DatabaseInstance) -> sqlite3.Connection:
     """A fresh prepared ``:memory:`` connection with ``instance`` loaded.
 
-    Used by tests and tooling that execute SQL text directly (e.g. the
-    round-trip tests for :mod:`repro.parser.sql_writer`); the backend itself
-    keeps a cached connection keyed by the instance's data version.
+    Used by tests and tooling that execute SQL text directly (such as
+    :func:`to_sql` output, with parameters bound as ``{"p_<name>": value}``);
+    the backend itself keeps a cached connection keyed by the instance's
+    data version.
     """
     conn = sqlite3.connect(":memory:", check_same_thread=False)
     prepare_connection(conn)
@@ -245,14 +329,87 @@ class _PlanCompiler:
     def _expect(self, name: str, dtype: DataType) -> None:
         self.param_types.setdefault(name, set()).add(dtype)
 
+    def _scalar(
+        self, scalar: Scalar, schema: RelationSchema, positions: list[str]
+    ) -> tuple[str, DataType | None]:
+        """SQL text plus (best-effort) type of a scalar expression."""
+        if isinstance(scalar, Literal):
+            return sql_literal(scalar.value), literal_type(scalar.value)
+        if isinstance(scalar, ColumnRef):
+            try:
+                index = schema.index_of(scalar.name)
+            except UnknownAttributeError as exc:
+                raise BackendUnsupportedError(str(exc)) from exc
+            return positions[index], schema.attributes[index].dtype
+        if isinstance(scalar, Param):
+            return self._param_sql(scalar), None
+        if isinstance(scalar, Arithmetic):
+            left, left_type = self._scalar(scalar.left, schema, positions)
+            right, right_type = self._scalar(scalar.right, schema, positions)
+            # Type guards come first: a string or boolean operand must stay
+            # with the Python operators (which concatenate, raise, or
+            # bool-arithmetic as Python defines) for *every* operator,
+            # including division.
+            if DataType.STRING in (left_type, right_type):
+                if scalar.op == "+" and left_type == right_type:
+                    return f"({left} || {right})", DataType.STRING
+                raise BackendUnsupportedError(
+                    f"string arithmetic {scalar.op!r} has no SQLite equivalent"
+                )
+            if DataType.BOOL in (left_type, right_type):
+                raise BackendUnsupportedError("boolean arithmetic is not compiled")
+            # A parameter used in arithmetic must be bound to a number;
+            # SQLite's text-to-number coercion would otherwise disagree with
+            # Python's TypeError.
+            for operand in (scalar.left, scalar.right):
+                if isinstance(operand, Param):
+                    self._expect(operand.name, DataType.FLOAT)
+            if scalar.op == "/":
+                # Python semantics: true division, float result, raises on /0.
+                return f"repro_div({left}, {right})", DataType.FLOAT
+            result_type = (
+                DataType.FLOAT
+                if DataType.FLOAT in (left_type, right_type)
+                else left_type or right_type
+            )
+            return f"({left} {scalar.op} {right})", result_type
+        raise BackendUnsupportedError(
+            f"cannot compile scalar of type {type(scalar).__name__}"
+        )
+
     def _predicate(
         self, predicate: Predicate, schema: RelationSchema, positions: list[str]
     ) -> str:
-        def resolve(name: str) -> tuple[str, DataType | None]:
-            index = schema.index_of(name)
-            return positions[index], schema.attributes[index].dtype
+        """Render a predicate as a 0/1-valued SQL expression.
 
-        return render_predicate(predicate, resolve, self._param_sql, self._expect)
+        Comparisons coalesce ``NULL`` to false before any ``NOT``/``AND``/
+        ``OR`` combine them, matching the engine's two-valued logic.
+        """
+        if isinstance(predicate, TruePredicate):
+            return "1"
+        if isinstance(predicate, Comparison):
+            left, left_type = self._scalar(predicate.left, schema, positions)
+            right, right_type = self._scalar(predicate.right, schema, positions)
+            if not comparable_in_sql(left_type, right_type):
+                raise BackendUnsupportedError(
+                    f"comparison of {left_type.value} with {right_type.value} "
+                    "does not mean the same thing in SQLite"
+                )
+            if isinstance(predicate.left, Param) and right_type is not None:
+                self._expect(predicate.left.name, right_type)
+            if isinstance(predicate.right, Param) and left_type is not None:
+                self._expect(predicate.right.name, left_type)
+            return f"COALESCE({left} {_COMPARISON_SQL[predicate.op]} {right}, 0)"
+        if isinstance(predicate, (And, Or)):
+            joiner = " AND " if isinstance(predicate, And) else " OR "
+            return "(" + joiner.join(
+                self._predicate(p, schema, positions) for p in predicate.operands
+            ) + ")"
+        if isinstance(predicate, Not):
+            return f"(NOT {self._predicate(predicate.operand, schema, positions)})"
+        raise BackendUnsupportedError(
+            f"cannot compile predicate of type {type(predicate).__name__}"
+        )
 
     # -- operators ---------------------------------------------------------
 
@@ -280,8 +437,8 @@ class _PlanCompiler:
 
     def _scan(self, plan: ScanOp) -> tuple[str, tuple[DataType, ...]]:
         schema = self.db.relation(plan.relation)
-        columns = ", ".join(quote_identifier(a.name, force=True) for a in schema.attributes)
-        body = f"SELECT DISTINCT {columns} FROM {quote_identifier(plan.relation, force=True)}"
+        columns = ", ".join(quote_identifier(a.name) for a in schema.attributes)
+        body = f"SELECT DISTINCT {columns} FROM {quote_identifier(plan.relation)}"
         name = self._add_cte(body, schema.arity)
         return name, tuple(a.dtype for a in schema.attributes)
 
@@ -435,6 +592,18 @@ def compile_plan_to_sql(plan: PlanNode, db: DatabaseSchema) -> CompiledPlan:
             for name, types in compiler.param_types.items()
         ),
     )
+
+
+def to_sql(expression: RAExpression, db: DatabaseSchema) -> str:
+    """Executable SQLite text for ``expression`` as written.
+
+    Compiles the *unoptimized* logical plan, one CTE per operator.  The
+    output columns are positional (``c1..cN``, in the expression's
+    output-schema order) and ``@name`` parameters bind as ``:p_name``.  The
+    text runs verbatim on a :func:`connect_instance` connection; constructs
+    SQLite cannot express faithfully raise :class:`BackendUnsupportedError`.
+    """
+    return compile_plan_to_sql(compile_plan(expression, db), db).sql
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,10 @@ rewrites annotations, so this flavour stays bit-identical to the historical
 provenance evaluator (asserted by ``tests/test_provenance_engine_path.py``).
 
 Sessions are **thread-safe**: a reentrant lock serializes plan compilation
-and execution, so one warm session per dataset can serve a pool of grading
-workers (see :mod:`repro.api.service`).  The lock makes sharing *correct*
-and *deterministic* — concurrent throughput gains come from the shared
-caches, not from parallel plan execution, which the lock (and CPython's GIL)
+and execution, so one warm session per dataset can serve grading requests
+from several threads (see :mod:`repro.api.service`).  The lock makes sharing
+*correct* and *deterministic* — throughput comes from the shared caches, not
+from parallel plan execution, which the lock (and CPython's GIL)
 intentionally forgoes.
 
 The Python operators are the only execution path.  SQLite serves as a

@@ -1,14 +1,15 @@
-"""Text DSL for relational algebra: tokenizer, parser and SQL renderer."""
+"""Text DSL for relational algebra: tokenizer and parser.
+
+SQL rendering lives with the SQLite oracle:
+:func:`repro.engine.backends.to_sql`.
+"""
 
 from repro.parser.lexer import Token, tokenize
 from repro.parser.ra_parser import parse_predicate, parse_query
-from repro.parser.sql_writer import predicate_to_sql, to_sql
 
 __all__ = [
     "Token",
     "parse_predicate",
     "parse_query",
-    "predicate_to_sql",
-    "to_sql",
     "tokenize",
 ]

@@ -45,7 +45,7 @@ def split_equijoin_conjuncts(
     Returns ``(pairs, residual)`` where each pair is ``(left_column,
     right_column)`` and the residual predicates must still be evaluated on the
     concatenated tuple.  Pure predicate/schema analysis — shared by the plan
-    compiler, the reference interpreters, and the SQL writer.
+    compiler and the reference interpreters.
     """
     pairs: list[tuple[str, str]] = []
     residual: list[Predicate] = []

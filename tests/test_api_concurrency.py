@@ -1,4 +1,11 @@
-"""Concurrency stress tests: pooled grading is bit-identical to serial."""
+"""Concurrency stress tests: pooled grading is bit-identical to serial.
+
+The service grades serially; callers that want concurrency submit from their
+own threads, all sharing one locked warm session per dataset.  These tests
+drive ``submit`` from a thread pool and compare with ``submit_batch``.
+"""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -36,37 +43,45 @@ def hidden_instance():
     return university_instance(35, seed=21)
 
 
-def grades(service, requests, *, workers):
+def grades(service, requests):
+    """Serial batch grading (deduplicated) as comparable dicts."""
     return [
         graded.to_dict(include_timings=False)
-        for graded in service.submit_batch(requests, workers=workers)
+        for graded in service.submit_batch(requests)
     ]
+
+
+def pooled_grades(service, requests, *, workers=8):
+    """Every request submitted individually from a thread pool."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        graded = list(pool.map(service.submit, requests))
+    return [g.to_dict(include_timings=False) for g in graded]
 
 
 class TestDeterminismUnderConcurrency:
     def test_pooled_equals_serial_bit_for_bit(self, hidden_instance):
         requests = class_batch()
         serial_service = GradingService.for_instance(hidden_instance, name="hidden")
-        serial = grades(serial_service, requests, workers=1)
+        serial = grades(serial_service, requests)
 
         pooled_service = GradingService.for_instance(hidden_instance, name="hidden")
-        pooled = grades(pooled_service, requests, workers=8)
+        pooled = pooled_grades(pooled_service, requests)
 
         assert pooled == serial
 
     def test_repeated_pooled_runs_are_stable(self, hidden_instance):
         requests = class_batch()
         service = GradingService.for_instance(hidden_instance, name="hidden")
-        first = grades(service, requests, workers=8)
-        second = grades(service, requests, workers=8)
+        first = pooled_grades(service, requests)
+        second = pooled_grades(service, requests)
         assert first == second
 
     def test_shared_session_is_actually_shared(self, hidden_instance):
         service = GradingService.for_instance(hidden_instance, name="hidden")
         session = service.session_for()
         before = session.cache_info()["plan_misses"]
-        service.submit_batch(class_batch(), workers=8)
-        service.submit_batch(class_batch(), workers=8)
+        pooled_grades(service, class_batch())
+        pooled_grades(service, class_batch())
         after = session.cache_info()
         # The second batch is served from the caches: plans were only
         # compiled once per distinct query, and hits dominate misses.
@@ -82,10 +97,7 @@ class TestDeterminismUnderConcurrency:
             SubmissionRequest(correct, wrong, dataset="university:20", id="gen"),
             SubmissionRequest(correct, correct, dataset="toy-university", id="ok"),
         ]
-        serial = [g.to_dict(include_timings=False) for g in service.submit_batch(requests)]
-        pooled = [
-            g.to_dict(include_timings=False)
-            for g in service.submit_batch(requests, workers=4)
-        ]
+        serial = grades(service, requests)
+        pooled = pooled_grades(service, requests, workers=4)
         assert pooled == serial
         assert [g["id"] for g in pooled] == ["toy", "gen", "ok"]

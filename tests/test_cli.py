@@ -123,7 +123,7 @@ class TestBatchCommand:
         submissions = self.write_submissions(tmp_path)
         output = tmp_path / "grades.jsonl"
         exit_code = main(
-            ["batch", "--input", str(submissions), "--output", str(output), "--workers", "2"]
+            ["batch", "--input", str(submissions), "--output", str(output)]
         )
         assert exit_code == 0
         grades = self.read_grades(output)
@@ -159,6 +159,14 @@ class TestBatchCommand:
             main([*argv, "--backend", "sqlite"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --backend sqlite" in capsys.readouterr().err
+
+    def test_batch_workers_flag_is_a_usage_error(self, capsys):
+        # In-process batches grade serially; only serve/cluster run worker
+        # processes.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", "--input", "-", "--workers", "4"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
 
     def test_batch_rejects_bad_json(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"

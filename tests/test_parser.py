@@ -1,10 +1,10 @@
-"""Tests for the RA text DSL: lexer, parser and SQL rendering."""
+"""Tests for the RA text DSL: lexer and parser."""
 
 import pytest
 
-from repro.datagen import toy_university_instance, university_schema
+from repro.datagen import toy_university_instance
 from repro.errors import ParseError
-from repro.parser import parse_predicate, parse_query, predicate_to_sql, to_sql, tokenize
+from repro.parser import parse_predicate, parse_query, tokenize
 from repro.ra import (
     Difference,
     GroupBy,
@@ -18,8 +18,6 @@ from repro.ra import (
     Union,
     evaluate,
 )
-
-DB = university_schema()
 
 
 class TestLexer:
@@ -157,54 +155,3 @@ class TestPredicateParser:
     def test_malformed(self):
         with pytest.raises(ParseError):
             parse_predicate("a = ")
-
-
-class TestSqlWriter:
-    def test_cte_per_operator(self, example1_q2):
-        sql = to_sql(example1_q2, DB)
-        assert sql.startswith("WITH")
-        assert "JOIN" in sql and "SELECT DISTINCT" in sql
-
-    def test_difference_renders_except(self, example1_q1):
-        sql = to_sql(example1_q1, DB)
-        assert "EXCEPT" in sql
-
-    def test_group_by_rendering(self):
-        query = parse_query("\\aggr_{group: name; count(*) -> n} Registration")
-        sql = to_sql(query, DB)
-        assert "GROUP BY name" in sql and "COUNT(*) AS n" in sql
-
-    def test_base_relation_without_ctes(self):
-        # Scans deduplicate: the storage layer allows duplicate value rows.
-        assert to_sql(parse_query("Student"), DB) == "SELECT DISTINCT name, major FROM Student"
-
-    def test_predicate_rendering(self):
-        assert predicate_to_sql(parse_predicate("dept <> 'CS'")) == "dept <> 'CS'"
-
-    def test_predicate_rendering_escapes_quotes(self):
-        from repro.ra.predicates import Comparison, ColumnRef, Literal
-
-        predicate = Comparison("=", ColumnRef("name"), Literal("O'Brien"))
-        assert "O''Brien" in predicate_to_sql(predicate)
-
-    def test_null_literal_renders_as_null(self):
-        from repro.ra.predicates import Comparison, ColumnRef, Literal
-
-        predicate = Comparison("=", ColumnRef("name"), Literal(None))
-        rendered = predicate_to_sql(predicate)
-        assert "NULL" in rendered
-        assert "None" not in rendered and "''" not in rendered
-
-    def test_dotted_and_reserved_identifiers_are_quoted(self):
-        query = parse_query("\\project_{s.name -> name} \\rename_{prefix: s} Student")
-        sql = to_sql(query, DB)
-        assert '"s.name"' in sql
-
-    def test_set_operands_use_explicit_column_lists(self, example1_q1):
-        sql = to_sql(example1_q1, DB)
-        assert "EXCEPT" in sql
-        assert "SELECT *" not in sql
-
-    def test_hoisted_equijoin_keys_are_null_safe(self, example1_q2):
-        sql = to_sql(example1_q2, DB)
-        assert " IS " in sql
